@@ -58,7 +58,7 @@ drift:
 	$(GO) test -race -count=1 -run 'Measurements|Drift|Refit|Ingest|BodyCap|Batch' ./internal/serve/ ./internal/core/ ./internal/faults/
 
 # cluster mirrors the CI sharded-serving shard: consistent-hash ring
-# property tests, router failover/hot-swap concurrency under the race
+# property tests, router failover and drain-rule concurrency under the race
 # detector, and the deterministic multi-replica simulation invariants
 # (single owner, bounded imbalance, minimal remap, zero lost requests,
 # near-linear virtual-time scaling), bypassing the test cache.

@@ -13,7 +13,8 @@
 // CI runs this as a blocking gate. Absolute ns/op moves with the host,
 // so the CI invocation passes a loose -max-regress: the gate exists to
 // catch large accidents — a lost fast path, an accidental O(n^2), the
-// SIMD kernel silently disabled — not single-digit drift. Re-measure
+// blocked kNN kernel bypassed for the reference loop — not single-digit
+// drift. Re-measure
 // with -update on the reference box when a deliberate change shifts
 // the hot path.
 package main

@@ -43,8 +43,8 @@ type replica struct {
 
 	// Served/failed tally requests forwarded to this replica; breakers
 	// and drifted mirror the last successful probe.
-	served  atomic.Uint64
-	failed  atomic.Uint64
+	served   atomic.Uint64
+	failed   atomic.Uint64
 	breakers atomic.Int32
 	drifted  atomic.Int32
 }
@@ -61,12 +61,8 @@ type View struct {
 	// Sequence is the key's full ring fallback order (owner first). For
 	// unkeyed requests it is the sorted replica list.
 	Sequence []string
-	// States and InFlight map replica ID to health and live request
-	// count.
-	States   map[string]State
-	InFlight map[string]int64
-	// RRTick is a monotone counter the round-robin policy offsets by.
-	RRTick uint64
+	// States maps replica ID to health.
+	States map[string]State
 }
 
 // Alive reports whether id is routable at all (Ready or Degraded).
@@ -76,8 +72,8 @@ func (v View) Alive(id string) bool {
 }
 
 // readyThenDegraded orders ids: Ready replicas first (preserving the
-// given order), then Degraded, Down dropped. The shared drain rule
-// every built-in policy applies.
+// given order), then Degraded, Down dropped: the drain rule
+// CacheAffinity applies.
 func readyThenDegraded(ids []string, v View) []string {
 	out := make([]string, 0, len(ids))
 	for _, id := range ids {

@@ -41,10 +41,6 @@ type Config struct {
 	// MaxRetries bounds failover: a request touches at most
 	// 1+MaxRetries replicas (default 2).
 	MaxRetries int
-	// HedgeAfter, when positive, launches a second attempt on the next
-	// candidate if the first has not answered within it. Zero disables
-	// hedging.
-	HedgeAfter time.Duration
 	// ProbeInterval is Run's health-probe cadence (default 2s).
 	ProbeInterval time.Duration
 	// ProbeFailures is the consecutive probe/transport failures that
@@ -89,13 +85,11 @@ func (c Config) withDefaults() Config {
 
 // Router is the sharded serving tier's brain: it owns the ring, the
 // bounded-load owner table, per-replica health, and the forwarding
-// loop with retries and optional hedging. Safe for concurrent use.
+// loop with retries. Safe for concurrent use.
 type Router struct {
 	cfg   Config
 	ring  *Ring
 	clock randx.Clock
-
-	policy atomic.Value // policyBox
 
 	replicas map[string]*replica
 	ids      []string // sorted
@@ -104,14 +98,12 @@ type Router struct {
 	owners map[string]string // key -> replica ID
 	counts map[string]int    // replica ID -> owned keys
 
-	rrTick    atomic.Uint64
 	remaps    atomic.Uint64
 	failbacks atomic.Uint64
 
 	scope    obs.Scope
 	requests *obs.Counter
 	retries  *obs.Counter
-	hedges   *obs.Counter
 	noroute  *obs.Counter
 }
 
@@ -145,11 +137,9 @@ func New(cfg Config) (*Router, error) {
 	}
 	sort.Strings(r.ids)
 	r.ring = NewRing(r.ids, cfg.VNodes)
-	r.policy.Store(policyBox{cfg.Policy})
 	r.scope = cfg.Metrics.Scope("cluster.")
 	r.requests = r.scope.Counter("requests")
 	r.retries = r.scope.Counter("retries")
-	r.hedges = r.scope.Counter("hedges")
 	r.noroute = r.scope.Counter("no_route")
 	return r, nil
 }
@@ -157,33 +147,15 @@ func New(cfg Config) (*Router, error) {
 // Ring exposes the router's ring (for status and tests).
 func (r *Router) Ring() *Ring { return r.ring }
 
-// policyBox gives atomic.Value one consistent concrete type across
-// the distinct Policy implementations.
-type policyBox struct{ p Policy }
+// Policy returns the routing policy.
+func (r *Router) Policy() Policy { return r.cfg.Policy }
 
-// Policy returns the active routing policy.
-func (r *Router) Policy() Policy { return r.policy.Load().(policyBox).p }
-
-// SetPolicy swaps the routing policy atomically; in-flight requests
-// finish under the policy they started with.
-func (r *Router) SetPolicy(p Policy) {
-	if p != nil {
-		r.policy.Store(policyBox{p})
-	}
-}
-
-// view snapshots health, load, and the key's ownership for one routing
+// view snapshots health and the key's ownership for one routing
 // decision.
 func (r *Router) view(key string) View {
-	v := View{
-		States:   make(map[string]State, len(r.ids)),
-		InFlight: make(map[string]int64, len(r.ids)),
-		RRTick:   r.rrTick.Add(1) - 1,
-	}
+	v := View{States: make(map[string]State, len(r.ids))}
 	for _, id := range r.ids {
-		rep := r.replicas[id]
-		v.States[id] = rep.State()
-		v.InFlight[id] = rep.inFlight.Load()
+		v.States[id] = r.replicas[id].State()
 	}
 	if key != "" {
 		v.Owner = r.ownerFor(key, v)
@@ -299,9 +271,9 @@ func retryableStatus(status int) bool {
 		status == http.StatusGatewayTimeout
 }
 
-// Do routes one request: candidates from the active policy, forwarded
-// with at most MaxRetries failovers, hedged when configured. The
-// returned error is non-nil only when no replica produced a response.
+// Do routes one request: candidates from the policy, forwarded with at
+// most MaxRetries failovers. The returned error is non-nil only when no
+// replica produced a response.
 func (r *Router) Do(ctx context.Context, req Request) (Response, error) {
 	var span *obs.Span
 	if r.cfg.Tracer != nil {
@@ -333,29 +305,17 @@ func (r *Router) Do(ctx context.Context, req Request) (Response, error) {
 	var lastResp Response
 	var lastErr error
 	haveResp := false
-	for i := 0; i < len(candidates); i++ {
-		rep := r.replicas[candidates[i]]
+	for i, id := range candidates {
+		rep := r.replicas[id]
 		if rep == nil || rep.State() == Down {
 			continue
 		}
 		if i > 0 {
 			r.retries.Inc()
 		}
-		var resp Response
-		var err error
-		var via string
-		if i == 0 && r.cfg.HedgeAfter > 0 && len(candidates) > 1 {
-			next := r.replicas[candidates[1]]
-			resp, via, err = r.doHedged(ctx, rep, next, req)
-			if via != "" && via != rep.id {
-				i++ // the hedge consumed the next candidate
-			}
-		} else {
-			resp, err = r.attempt(ctx, rep, req)
-			via = rep.id
-		}
+		resp, err := r.attempt(ctx, rep, req)
 		if err == nil && !retryableStatus(resp.Status) {
-			span.SetAttr("replica", via)
+			span.SetAttr("replica", rep.id)
 			span.SetAttr("attempts", i+1)
 			return resp, nil
 		}
@@ -399,65 +359,6 @@ func (r *Router) attempt(ctx context.Context, rep *replica, req Request) (Respon
 	rep.served.Add(1)
 	sc.Counter("requests").Inc()
 	return resp, nil
-}
-
-// doHedged races the primary against the next candidate launched after
-// HedgeAfter. The first acceptable answer wins; the loser's attempt is
-// canceled.
-func (r *Router) doHedged(ctx context.Context, primary, hedge *replica, req Request) (Response, string, error) {
-	type result struct {
-		resp Response
-		err  error
-		id   string
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan result, 2)
-	launch := func(rep *replica) {
-		go func() {
-			resp, err := r.attempt(hctx, rep, req)
-			select {
-			case ch <- result{resp, err, rep.id}:
-			case <-hctx.Done():
-			}
-		}()
-	}
-	launch(primary)
-	timer := time.NewTimer(r.cfg.HedgeAfter)
-	defer timer.Stop()
-	outstanding, hedged := 1, false
-	var last result
-	for {
-		select {
-		case res := <-ch:
-			outstanding--
-			if res.err == nil && !retryableStatus(res.resp.Status) {
-				return res.resp, res.id, nil
-			}
-			last = res
-			if outstanding == 0 {
-				if !hedged && hedge.State() != Down {
-					// Primary failed fast: use the hedge slot as an
-					// immediate retry.
-					r.hedges.Inc()
-					hedged = true
-					outstanding++
-					launch(hedge)
-					continue
-				}
-				return last.resp, last.id, last.err
-			}
-		case <-timer.C:
-			if !hedged && hedge.State() != Down {
-				r.hedges.Inc()
-				hedged = true
-				outstanding++
-				launch(hedge)
-			}
-		case <-ctx.Done():
-			return Response{}, "", ctx.Err()
-		}
-	}
 }
 
 // probeOne applies one health observation to a replica.

@@ -28,8 +28,9 @@ func TestServePathNegative(t *testing.T) {
 }
 
 // TestClusterPath pins the sharded-serving-tier policy: under
-// internal/cluster the lifecycle-bound rule applies (the hedged-attempt
-// select shape passes, fire-and-forget is flagged) — the package is
+// internal/cluster the lifecycle-bound rule applies (a result send
+// selected against a context's Done passes, fire-and-forget is
+// flagged) — the package is
 // neither a banned server path nor an exempt substrate.
 func TestClusterPath(t *testing.T) {
 	linttest.Run(t, goroutinecheck.Analyzer, "testdata/cluster", "example.com/internal/cluster")

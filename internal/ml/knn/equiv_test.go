@@ -11,9 +11,8 @@ import (
 	"repro/internal/randx"
 )
 
-// equivDataset builds a dense synthetic regression set large enough to
-// exercise the blocked kernels' full 8-candidate blocks, the scalar
-// remainder, and (on amd64) the padded vector blocks.
+// equivDataset builds a dense synthetic regression set for the
+// equivalence suite.
 func equivDataset(seed uint64, n, p, q int) *ml.Dataset {
 	rng := randx.New(seed)
 	d := &ml.Dataset{X: make([][]float64, n), Y: make([][]float64, n)}
@@ -30,39 +29,36 @@ func equivDataset(seed uint64, n, p, q int) *ml.Dataset {
 	return d
 }
 
-// TestKNNKernelsBitIdentical drives every metric/weighting/standardize
-// combination through the serving kernel — with and without the SIMD
-// path where it exists — and requires each prediction to equal the
-// pointer-free reference implementation bit for bit. This is the
-// load-bearing equivalence test for the flattened kNN kernel.
-//
-// It mutates the package-level simdEnabled toggle, so it must not run
-// in parallel with other tests in this package.
+// TestKNNKernelsBitIdentical drives every training-set size, metric,
+// weighting and standardize combination through the serving kernel
+// and requires each prediction to equal the pointer-free reference
+// implementation bit for bit. This is the load-bearing equivalence
+// test for the flattened kNN kernel. The sizes cover the blocked
+// kernel's boundaries: fewer rows than one 8-row block, exactly one
+// block, full blocks plus the remainder loop, and an exact multiple.
 func TestKNNKernelsBitIdentical(t *testing.T) {
-	defer func(v bool) { simdEnabled = v }(simdEnabled)
-	for _, seed := range []uint64{1, 2, 3} {
-		for _, metric := range []Metric{Cosine, Euclidean, Manhattan} {
-			for _, weighting := range []Weighting{Uniform, Distance} {
-				for _, standardize := range []bool{true, false} {
-					name := fmt.Sprintf("seed=%d/%s/w=%d/std=%v", seed, metric, weighting, standardize)
-					d := equivDataset(seed, 59, 37, 3)
-					r := New(15)
-					r.Metric = metric
-					r.Weighting = weighting
-					r.Standardize = standardize
-					if err := r.Fit(d); err != nil {
-						t.Fatal(err)
-					}
-					probe := equivDataset(seed^0xABCD, 13, 37, 3)
-					for _, enabled := range []bool{true, false} {
-						simdEnabled = enabled
+	for _, n := range []int{1, 7, 8, 59, 64} {
+		for _, seed := range []uint64{1, 2, 3} {
+			for _, metric := range []Metric{Cosine, Euclidean, Manhattan} {
+				for _, weighting := range []Weighting{Uniform, Distance} {
+					for _, standardize := range []bool{true, false} {
+						name := fmt.Sprintf("n=%d/seed=%d/%s/w=%d/std=%v", n, seed, metric, weighting, standardize)
+						d := equivDataset(seed, n, 37, 3)
+						r := New(15)
+						r.Metric = metric
+						r.Weighting = weighting
+						r.Standardize = standardize
+						if err := r.Fit(d); err != nil {
+							t.Fatal(err)
+						}
+						probe := equivDataset(seed^0xABCD, 13, 37, 3)
 						for i, x := range probe.X {
 							got := r.Predict(x)
 							want := r.PredictReference(x)
 							for j := range want {
 								if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-									t.Fatalf("%s simd=%v probe %d out %d: kernel %v != reference %v",
-										name, enabled, i, j, got[j], want[j])
+									t.Fatalf("%s probe %d out %d: kernel %v != reference %v",
+										name, i, j, got[j], want[j])
 								}
 							}
 						}

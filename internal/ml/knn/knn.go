@@ -75,13 +75,6 @@ type Regressor struct {
 	sqnorm  []float64
 	nOut    int
 	scratch sync.Pool // *predictScratch
-
-	// Column-major mirror of xflat for the AVX-512 cosine kernel
-	// (element (i, j) at xflatT[j*nPad+i]), padded with zero rows to a
-	// multiple of the kernel's 32-lane width. nil when the kernel is
-	// unavailable or the metric is not cosine.
-	xflatT []float64
-	nPad   int
 }
 
 // predictScratch is the per-call working set: the standardized query,
@@ -149,7 +142,6 @@ func (r *Regressor) finalize() {
 		r.x[i] = r.xflat[i*p : (i+1)*p] // rows become views of the block
 	}
 	r.sqnorm = nil
-	r.xflatT, r.nPad = nil, 0
 	if r.Metric == Cosine {
 		r.sqnorm = make([]float64, n)
 		for i := 0; i < n; i++ {
@@ -158,23 +150,6 @@ func (r *Regressor) finalize() {
 				s += v * v
 			}
 			r.sqnorm[i] = s
-		}
-		if hasAVX512 && p > 0 {
-			// Column-major mirror for the vector kernel, zero-padded to
-			// whole 64-row blocks. Padding lanes accumulate garbage
-			// distances that are never read (and a zero squared norm, so
-			// the kernel's vanishing-norm lane fix keeps them finite).
-			r.nPad = (n + 63) &^ 63
-			r.xflatT = make([]float64, p*r.nPad)
-			for i := 0; i < n; i++ {
-				row := r.xflat[i*p : (i+1)*p]
-				for j, v := range row {
-					r.xflatT[j*r.nPad+i] = v
-				}
-			}
-			sq := make([]float64, r.nPad)
-			copy(sq, r.sqnorm)
-			r.sqnorm = sq
 		}
 	}
 	r.nOut = len(r.y[0])
@@ -272,14 +247,8 @@ func (r *Regressor) getScratch() *predictScratch {
 		s.q = make([]float64, p)
 	}
 	s.q = s.q[:p]
-	// The vector kernel writes whole 64-lane blocks, so the distance
-	// column needs capacity for the padded row count.
-	padN := n
-	if r.nPad > padN {
-		padN = r.nPad
-	}
-	if cap(s.dist) < padN {
-		s.dist = make([]float64, padN)
+	if cap(s.dist) < n {
+		s.dist = make([]float64, n)
 	}
 	s.dist = s.dist[:n]
 	if cap(s.heap) < n {
@@ -412,23 +381,6 @@ func (r *Regressor) cosineInto(q, dist []float64, na float64, naKnown bool) {
 		for _, v := range q {
 			na += v * v
 		}
-	}
-	if simdEnabled && r.xflatT != nil {
-		if na == 0 {
-			// Vanishing query norm: the reference returns 1 for every
-			// candidate (this also covers zero-feature queries).
-			for i := range dist {
-				dist[i] = 1
-			}
-			return
-		}
-		// 64 candidate rows per call: one row per vector lane, each lane
-		// accumulating in the scalar reference's exact feature order.
-		pd := dist[:r.nPad]
-		for i0 := 0; i0 < r.nPad; i0 += 64 {
-			cosineBlock64(&q[0], len(q), &r.xflatT[i0], r.nPad, na, &r.sqnorm[i0], &pd[i0])
-		}
-		return
 	}
 	p := len(q)
 	n := len(r.x)

@@ -261,9 +261,17 @@ func TestDriftRefitEndToEnd(t *testing.T) {
 	if !ok || md["refit_ok"].(float64) < 1 || md["drifted"].(float64) != 0 {
 		t.Errorf("metrics drift block: %v", metrics["drift"])
 	}
+	// The obs registry carries only the drift aggregates: no metric
+	// name embeds a cell.
 	rec, _ = get(t, s, "/v1/metrics")
-	if !strings.Contains(rec.Body.String(), "drift.ks.") || !strings.Contains(rec.Body.String(), "drift.last_refit_age_ms.") {
-		t.Error("obs registry missing per-cell drift gauges")
+	if body := rec.Body.String(); !strings.Contains(body, `"drift.cells"`) || !strings.Contains(body, `"drift.drifted"`) {
+		t.Error("obs registry missing the drift.cells/drift.drifted aggregates")
+	}
+	for _, prefix := range []string{"drift.ks.", "drift.w1.", "drift.window_fill.", "drift.accepted.",
+		"drift.quarantined.", "drift.refit_ok.", "drift.refit_fail.", "drift.refit_shed.", "drift.last_refit_age_ms."} {
+		if strings.Contains(rec.Body.String(), prefix) {
+			t.Errorf("obs registry still exports per-cell gauge %q<cell>", prefix)
+		}
 	}
 	// The background refits left traces rooted at refit.fit.
 	if !strings.Contains(strings.Join(renderedTraces(s), "\n"), "refit.fit") {

@@ -205,29 +205,14 @@ func (s *Server) handleObsMetrics(w http.ResponseWriter, _ *http.Request) {
 		s.metrics.reg.Gauge("modelstore.evictions").Set(float64(ss.Evictions))
 		s.metrics.reg.Gauge("modelstore.resident").Set(float64(ss.Resident))
 	}
-	// Staleness/drift gauges, mirrored per cell at scrape time like the
-	// model-store gauges above (Set is idempotent, so scrapes race-free).
+	// Drift aggregates only: metric names stay bounded as cells grow.
+	// Per-cell detail lives in /v1/status and the /metrics by_cell block.
 	if cells := s.drift.Snapshot(); len(cells) > 0 {
-		now := clock()
 		drifted := 0
 		for i := range cells {
-			c := &cells[i]
-			if c.Tripped {
+			if cells[i].Tripped {
 				drifted++
 			}
-			s.metrics.reg.Gauge("drift.ks." + c.Cell).Set(c.KS)
-			s.metrics.reg.Gauge("drift.w1." + c.Cell).Set(c.W1)
-			s.metrics.reg.Gauge("drift.window_fill." + c.Cell).Set(float64(c.WindowFill))
-			s.metrics.reg.Gauge("drift.accepted." + c.Cell).Set(float64(c.Accepted))
-			s.metrics.reg.Gauge("drift.quarantined." + c.Cell).Set(float64(c.Quarantined))
-			s.metrics.reg.Gauge("drift.refit_ok." + c.Cell).Set(float64(c.RefitOK))
-			s.metrics.reg.Gauge("drift.refit_fail." + c.Cell).Set(float64(c.RefitFail))
-			s.metrics.reg.Gauge("drift.refit_shed." + c.Cell).Set(float64(c.RefitShed))
-			age := -1.0 // "never refitted" sentinel
-			if c.HasRefit {
-				age = float64(now.Sub(c.LastRefit)) / float64(time.Millisecond)
-			}
-			s.metrics.reg.Gauge("drift.last_refit_age_ms." + c.Cell).Set(age)
 		}
 		s.metrics.reg.Gauge("drift.cells").Set(float64(len(cells)))
 		s.metrics.reg.Gauge("drift.drifted").Set(float64(drifted))
