@@ -39,7 +39,7 @@ func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 	f.cfg.MaxFeatures = d.Int()
 	f.cfg.Seed = d.U64()
 	f.nOut = d.Int()
-	// Every encoded tree occupies at least one tag byte, so the count
+	// Every encoded tree occupies at least one byte, so the count
 	// check in Len keeps corrupt buffers from allocating wildly.
 	n := d.Len(1)
 	if err := d.Err(); err != nil {
@@ -55,6 +55,10 @@ func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 			return nil, fmt.Errorf("forest: tree %d: %w", t, err)
 		}
 		f.trees[t] = tr
+		if tr.NumOutputs() != f.nOut || tr.NumFeatures() != f.trees[0].NumFeatures() {
+			return nil, fmt.Errorf("%w: forest tree %d has %d outputs over %d features, want %d over %d",
+				ml.ErrWire, t, tr.NumOutputs(), tr.NumFeatures(), f.nOut, f.trees[0].NumFeatures())
+		}
 	}
 	return f, nil
 }

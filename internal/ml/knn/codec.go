@@ -67,6 +67,9 @@ func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 	if len(r.y[0]) == 0 {
 		return nil, fmt.Errorf("%w: knn with zero outputs", ml.ErrWire)
 	}
+	if r.scaler != nil && len(r.scaler.Means) != len(r.x[0]) {
+		return nil, fmt.Errorf("%w: knn scaler has %d features, rows have %d", ml.ErrWire, len(r.scaler.Means), len(r.x[0]))
+	}
 	// Warm-loaded models serve through the same flattened kernel as
 	// freshly fitted ones.
 	r.finalize()

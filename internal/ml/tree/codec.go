@@ -6,18 +6,13 @@ import (
 	"repro/internal/ml"
 )
 
-// maxWireDepth bounds recursion when decoding node structures, so a
-// corrupt buffer that somehow passes the outer checksum cannot exhaust
-// the stack. Real trees are depth-bounded by MaxDepth (tens at most).
-const maxWireDepth = 10_000
-
 // AppendWire serializes the fitted tree: growth configuration,
-// bookkeeping, feature importances, and the node structure in preorder.
-// The feature-subsampling RNG is deliberately not serialized — a
-// decoded tree predicts bit-identically but cannot be refitted with
-// MaxFeatures in effect.
+// bookkeeping, feature importances, and the node table. The
+// feature-subsampling RNG is deliberately not serialized — a decoded
+// tree predicts bit-identically but cannot be refitted with MaxFeatures
+// in effect.
 func (t *Tree) AppendWire(e *ml.WireEnc) error {
-	if t.root == nil {
+	if t.table == nil {
 		return fmt.Errorf("tree: encode before Fit")
 	}
 	e.Int(t.cfg.MaxDepth)
@@ -27,21 +22,8 @@ func (t *Tree) AppendWire(e *ml.WireEnc) error {
 	e.Int(t.depth)
 	e.Int(t.leaves)
 	e.Floats(t.importance)
-	appendNode(e, t.root)
+	t.table.AppendWire(e)
 	return nil
-}
-
-func appendNode(e *ml.WireEnc, n *node) {
-	if n.value != nil {
-		e.U8(1)
-		e.Floats(n.value)
-		return
-	}
-	e.U8(0)
-	e.Int(n.feature)
-	e.F64(n.threshold)
-	appendNode(e, n.left)
-	appendNode(e, n.right)
 }
 
 // DecodeWire reconstructs a fitted tree written by AppendWire.
@@ -54,40 +36,17 @@ func DecodeWire(d *ml.WireDec) (*Tree, error) {
 	t.depth = d.Int()
 	t.leaves = d.Int()
 	t.importance = d.Floats()
-	t.root = decodeNode(d, 0)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("tree: decode: %w", err)
 	}
-	// Warm-loaded trees serve through the same flattened kernel as
-	// freshly fitted ones.
-	t.finalize()
+	table, err := DecodeTable(d)
+	if err != nil {
+		return nil, err
+	}
+	if len(table.Roots) != 1 || table.Roots[0] != 0 || len(t.importance) != table.NFeatures {
+		return nil, fmt.Errorf("%w: tree with %d roots, %d importances for %d features",
+			ml.ErrWire, len(table.Roots), len(t.importance), table.NFeatures)
+	}
+	t.table = table
 	return t, nil
-}
-
-func decodeNode(d *ml.WireDec, depth int) *node {
-	if d.Err() != nil {
-		return nil
-	}
-	if depth > maxWireDepth {
-		d.Failf("tree deeper than %d nodes", maxWireDepth)
-		return nil
-	}
-	switch tag := d.U8(); tag {
-	case 1:
-		n := &node{feature: -1, value: d.Floats()}
-		if n.value == nil && d.Err() == nil {
-			d.Failf("leaf without a target vector")
-		}
-		return n
-	case 0:
-		n := &node{feature: d.Int(), threshold: d.F64()}
-		n.left = decodeNode(d, depth+1)
-		n.right = decodeNode(d, depth+1)
-		return n
-	default:
-		if d.Err() == nil {
-			d.Failf("bad node tag %d", tag)
-		}
-		return nil
-	}
 }

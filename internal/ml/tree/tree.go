@@ -1,13 +1,13 @@
 // Package tree implements a multi-output CART regression tree with the
 // variance-reduction (sum of per-output squared error) split criterion
 // used by scikit-learn's DecisionTreeRegressor. It is the base learner
-// for the random forest and (in single-output form) for the gradient
-// boosting model.
+// for the random forest, and it owns Table, the node table that the
+// tree, each forest member and each gradient-boosting output are fitted
+// into, served from and stored as.
 package tree
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/ml"
@@ -44,86 +44,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one tree node; leaves carry the mean target vector.
-type node struct {
-	feature   int
-	threshold float64
-	left      *node
-	right     *node
-	value     []float64 // leaf payload (nil for internal nodes)
-}
-
-// flatTree is the struct-of-arrays node table the serving kernel
-// traverses: one preorder-indexed entry per node, leaf payloads packed
-// into a single contiguous block. It is built once at fit/decode time;
-// traversal is iterative with no pointer chasing and no allocation.
-//
-// Encoding: feature[i] >= 0 marks an internal node whose children are
-// left[i]/right[i]; feature[i] == flatLeaf marks a leaf whose payload
-// is values[left[i] : left[i]+nOut].
-type flatTree struct {
-	feature   []int32
-	threshold []float64
-	left      []int32
-	right     []int32
-	values    []float64
-	nOut      int
-}
-
-// flatLeaf is the feature sentinel marking a leaf row in the table.
-const flatLeaf = int32(-1)
-
-// buildFlat lowers the pointer tree into its node table. Node indices
-// are preorder, so the hot left spine stays cache-adjacent.
-func buildFlat(root *node) *flatTree {
-	f := &flatTree{}
-	var walk func(n *node) int32
-	walk = func(n *node) int32 {
-		i := int32(len(f.feature))
-		f.feature = append(f.feature, 0)
-		f.threshold = append(f.threshold, 0)
-		f.left = append(f.left, 0)
-		f.right = append(f.right, 0)
-		if n.value != nil {
-			f.feature[i] = flatLeaf
-			f.left[i] = int32(len(f.values))
-			f.values = append(f.values, n.value...)
-			f.nOut = len(n.value)
-			return i
-		}
-		f.feature[i] = int32(n.feature)
-		f.threshold[i] = n.threshold
-		f.left[i] = walk(n.left)
-		f.right[i] = walk(n.right)
-		return i
-	}
-	walk(root)
-	return f
-}
-
-// leaf routes x to its leaf and returns a view of the payload (do not
-// mutate). The comparison `x <= threshold` is false for NaN, so a NaN
-// feature follows the right branch — the same explicit NaN-routing
-// contract PredictReference implements with math.IsNaN.
-func (f *flatTree) leaf(x []float64) []float64 {
-	ft, th, lt, rt := f.feature, f.threshold, f.left, f.right
-	i := int32(0)
-	for ft[i] >= 0 {
-		if x[ft[i]] <= th[i] {
-			i = lt[i]
-		} else {
-			i = rt[i]
-		}
-	}
-	off := lt[i]
-	return f.values[off : off+int32(f.nOut)]
-}
-
 // Tree is a fitted regression tree.
 type Tree struct {
-	cfg  Config
-	root *node
-	flat *flatTree // serving kernel, built by finalize
+	cfg   Config
+	table *Table // one tree, root at row 0
 	// depth and leaves are bookkeeping for tests and reports.
 	depth  int
 	leaves int
@@ -131,11 +55,6 @@ type Tree struct {
 	// attributed to each feature — the classic "gain" importance.
 	importance []float64
 }
-
-// finalize builds the flattened kernel from the pointer tree. Fit and
-// DecodeWire both call it, so fresh and warm-loaded trees share one
-// serving kernel.
-func (t *Tree) finalize() { t.flat = buildFlat(t.root) }
 
 // FeatureImportance returns the per-feature impurity-reduction shares of
 // the fitted tree, normalized to sum to 1 (all zeros when the tree is a
@@ -176,11 +95,7 @@ func (t *Tree) Fit(d *ml.Dataset) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	t.depth = 0
-	t.leaves = 0
-	t.importance = make([]float64, d.NumFeatures())
-	t.root = t.grow(d, idx, 0)
-	t.finalize()
+	t.fit(d, idx)
 	return nil
 }
 
@@ -196,12 +111,19 @@ func (t *Tree) FitIndices(d *ml.Dataset, idx []int) error {
 	if len(idx) == 0 {
 		return fmt.Errorf("tree: empty index set")
 	}
+	t.fit(d, append([]int(nil), idx...))
+	return nil
+}
+
+// fit grows the tree on the rows idx straight into a fresh table.
+func (t *Tree) fit(d *ml.Dataset, idx []int) {
 	t.depth = 0
 	t.leaves = 0
 	t.importance = make([]float64, d.NumFeatures())
-	t.root = t.grow(d, append([]int(nil), idx...), 0)
-	t.finalize()
-	return nil
+	t.table = &Table{NOut: d.NumOutputs(), NFeatures: d.NumFeatures()}
+	t.table.AddTree()
+	t.grow(d, idx, 0)
+	t.table.Trim()
 }
 
 // meanTarget computes the mean target vector over idx.
@@ -233,13 +155,15 @@ func sse(d *ml.Dataset, idx []int) float64 {
 	return s
 }
 
-func (t *Tree) grow(d *ml.Dataset, idx []int, depth int) *node {
+// grow appends the subtree for idx to the table in preorder and returns
+// its root row.
+func (t *Tree) grow(d *ml.Dataset, idx []int, depth int) int32 {
 	if depth > t.depth {
 		t.depth = depth
 	}
-	leaf := func() *node {
+	leaf := func() int32 {
 		t.leaves++
-		return &node{feature: -1, value: meanTarget(d, idx)}
+		return t.table.AddLeaf(meanTarget(d, idx))
 	}
 	if len(idx) < t.cfg.MinSamplesSplit || (t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth) {
 		return leaf()
@@ -260,12 +184,11 @@ func (t *Tree) grow(d *ml.Dataset, idx []int, depth int) *node {
 		return leaf()
 	}
 	t.importance[feat] += gain
-	return &node{
-		feature:   feat,
-		threshold: thr,
-		left:      t.grow(d, left, depth+1),
-		right:     t.grow(d, right, depth+1),
-	}
+	i := t.table.AddSplit(feat, thr)
+	l := t.grow(d, left, depth+1)
+	r := t.grow(d, right, depth+1)
+	t.table.Left[i], t.table.Right[i] = l, r
+	return i
 }
 
 // bestSplit scans (a subsample of) features for the split that maximally
@@ -347,70 +270,39 @@ func (t *Tree) bestSplit(d *ml.Dataset, idx []int) (feature int, threshold, gain
 	return feature, threshold, parentSSE - best, true
 }
 
-// Predict implements ml.Regressor via the flattened kernel.
+// Predict implements ml.Regressor.
 func (t *Tree) Predict(x []float64) []float64 {
-	if t.flat == nil {
-		panic("tree: Predict before Fit")
-	}
-	leaf := t.flat.leaf(x)
 	//lint:allow alloccheck row API allocates only the returned vector by contract; batch callers route through the ensemble kernels
-	out := make([]float64, len(leaf))
-	copy(out, leaf)
+	out := make([]float64, t.NumOutputs())
+	t.PredictInto(x, out)
 	return out
 }
 
 // PredictInto writes the prediction for x into out (len NumOutputs)
 // without allocating.
 func (t *Tree) PredictInto(x, out []float64) {
-	if t.flat == nil {
+	if t.table == nil {
 		panic("tree: Predict before Fit")
 	}
-	copy(out, t.flat.leaf(x))
+	copy(out, t.table.Leaf(0, x))
 }
 
 // AddLeafInto adds the leaf payload for x into acc — the forest's
 // accumulation hot path, one table walk and nOut additions, zero
 // allocation.
 func (t *Tree) AddLeafInto(x, acc []float64) {
-	for j, v := range t.flat.leaf(x) {
+	for j, v := range t.table.Leaf(0, x) {
 		acc[j] += v
 	}
 }
 
 // NumOutputs returns the fitted output arity.
 func (t *Tree) NumOutputs() int {
-	if t.flat == nil {
+	if t.table == nil {
 		panic("tree: NumOutputs before Fit")
 	}
-	return t.flat.nOut
+	return t.table.NOut
 }
 
-// PredictReference is the original pointer-chasing kernel, kept as the
-// independent reference implementation the equivalence suite compares
-// against the flattened kernel bit for bit.
-//
-// NaN routing contract: a NaN feature value always follows the right
-// (greater-than) branch. The flattened kernel realizes the same
-// contract through IEEE comparison semantics (`NaN <= t` is false);
-// here it is spelled out with math.IsNaN so the behavior is explicit
-// rather than an artifact of comparison order.
-func (t *Tree) PredictReference(x []float64) []float64 {
-	if t.root == nil {
-		panic("tree: Predict before Fit")
-	}
-	n := t.root
-	for n.value == nil {
-		xv := x[n.feature]
-		switch {
-		case math.IsNaN(xv):
-			n = n.right
-		case xv <= n.threshold:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	out := make([]float64, len(n.value))
-	copy(out, n.value)
-	return out
-}
+// NumFeatures returns the input width the tree was fitted on.
+func (t *Tree) NumFeatures() int { return t.table.NFeatures }

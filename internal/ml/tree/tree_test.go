@@ -1,12 +1,40 @@
 package tree
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/ml"
 	"repro/internal/randx"
 )
+
+// PredictReference walks the tree's node table with the NaN routing
+// contract spelled out: a NaN feature value always follows the right
+// (greater-than) branch. Table.Leaf realizes the same contract through
+// IEEE comparison semantics (`NaN <= t` is false); here it is explicit
+// with math.IsNaN, so the equivalence tests below pin the behavior
+// rather than an artifact of comparison order.
+func (t *Tree) PredictReference(x []float64) []float64 {
+	if t.table == nil {
+		panic("tree: Predict before Fit")
+	}
+	tb := t.table
+	i := tb.Roots[0]
+	for tb.Feature[i] != Leaf {
+		xv := x[tb.Feature[i]]
+		switch {
+		case math.IsNaN(xv):
+			i = tb.Right[i]
+		case xv <= tb.Threshold[i]:
+			i = tb.Left[i]
+		default:
+			i = tb.Right[i]
+		}
+	}
+	off := tb.Left[i]
+	return append([]float64(nil), tb.Values[off:off+int32(tb.NOut)]...)
+}
 
 func TestTreePerfectSplit(t *testing.T) {
 	d := &ml.Dataset{
@@ -283,5 +311,75 @@ func TestTreeFlatMatchesReferenceWithNaNs(t *testing.T) {
 				t.Fatalf("probe %d out %d: flattened %v != reference %v", i, j, got[j], want[j])
 			}
 		}
+	}
+}
+
+// stumpTable is a valid one-feature, one-output stump: x <= 0.5 → 1,
+// otherwise 5.
+func stumpTable() *Table {
+	return &Table{
+		Feature:   []int32{0, Leaf, Leaf},
+		Threshold: []float64{0.5, 0, 0},
+		Left:      []int32{1, 0, 1},
+		Right:     []int32{2, 0, 0},
+		Values:    []float64{1, 5},
+		Roots:     []int32{0},
+		NOut:      1,
+		NFeatures: 1,
+	}
+}
+
+// TestDecodeRejectsHostileTables feeds the tree decoder tables that a
+// walk could index out of, loop in, or read a wrong-sized payload from.
+// Each must be rejected with ml.ErrWire before it can serve. The first
+// two are regression cases: in the earlier pointer-tree format both
+// decoded without error, the first then panicked in Predict (index out
+// of range) and the second silently predicted [1 2] for its left leaf.
+func TestDecodeRejectsHostileTables(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(tb *Table, imp *[]float64)
+	}{
+		{"split on feature 5 of a 1-feature model", func(tb *Table, _ *[]float64) { tb.Feature[0] = 5 }},
+		{"leaves holding [1] and [2 3]", func(tb *Table, _ *[]float64) {
+			tb.NOut, tb.Values, tb.Left[2] = 2, []float64{1, 2, 3}, 1
+		}},
+		{"leaf payload past the values block", func(tb *Table, _ *[]float64) { tb.Left[2] = 7 }},
+		{"values left over after the last leaf", func(tb *Table, _ *[]float64) { tb.Values = append(tb.Values, 9) }},
+		{"negative feature other than the leaf sentinel", func(tb *Table, _ *[]float64) { tb.Feature[0] = -2 }},
+		{"child before its parent", func(tb *Table, _ *[]float64) { tb.Feature[2], tb.Left[2], tb.Right[2] = 0, 1, 0 }},
+		{"child outside the table", func(tb *Table, _ *[]float64) { tb.Right[0] = 3 }},
+		{"short column", func(tb *Table, _ *[]float64) { tb.Right = tb.Right[:2] }},
+		{"root outside the table", func(tb *Table, _ *[]float64) { tb.Roots[0] = 3 }},
+		{"two roots", func(tb *Table, _ *[]float64) { tb.Roots = []int32{0, 1} }},
+		{"no roots", func(tb *Table, _ *[]float64) { tb.Roots = nil }},
+		{"zero outputs", func(tb *Table, _ *[]float64) { tb.NOut = 0 }},
+		{"importances for another width", func(_ *Table, imp *[]float64) { *imp = []float64{1, 0} }},
+	}
+	encode := func(mutate func(*Table, *[]float64)) []byte {
+		tb, imp := stumpTable(), []float64{1}
+		if mutate != nil {
+			mutate(tb, &imp)
+		}
+		e := &ml.WireEnc{}
+		if err := (&Tree{table: tb, importance: imp}).AppendWire(e); err != nil {
+			t.Fatal(err)
+		}
+		return e.Bytes()
+	}
+	ok, err := DecodeWire(ml.NewWireDec(encode(nil)))
+	if err != nil {
+		t.Fatalf("valid stump: %v", err)
+	}
+	if lo, hi := ok.Predict([]float64{0}), ok.Predict([]float64{1}); lo[0] != 1 || hi[0] != 5 {
+		t.Fatalf("valid stump predicts %v / %v, want 1 / 5", lo, hi)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := DecodeWire(ml.NewWireDec(encode(tc.mutate)))
+			if !errors.Is(err, ml.ErrWire) {
+				t.Fatalf("decode returned (%v, %v), want ml.ErrWire", tr, err)
+			}
+		})
 	}
 }

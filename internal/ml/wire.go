@@ -55,6 +55,15 @@ func (e *WireEnc) Floats(xs []float64) {
 	}
 }
 
+// Int32s appends a length-prefixed int32 slice (the node-table index
+// columns).
+func (e *WireEnc) Int32s(xs []int32) {
+	e.Int(len(xs))
+	for _, v := range xs {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(v))
+	}
+}
+
 // FloatRows appends a length-prefixed slice of float rows.
 func (e *WireEnc) FloatRows(rows [][]float64) {
 	e.Int(len(rows))
@@ -150,7 +159,8 @@ func (d *WireDec) Len(elemSize int) int {
 	if d.err != nil {
 		return 0
 	}
-	if n < 0 || n*elemSize > d.Remaining() {
+	// n <= Remaining first, so n*elemSize cannot overflow.
+	if n < 0 || n > d.Remaining() || n*elemSize > d.Remaining() {
 		d.fail("implausible length %d at offset %d (%d bytes remain)", n, d.off-8, d.Remaining())
 		return 0
 	}
@@ -167,6 +177,20 @@ func (d *WireDec) Floats() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = d.F64()
+	}
+	return out
+}
+
+// Int32s reads back a length-prefixed int32 slice (nil for length 0).
+func (d *WireDec) Int32s() []int32 {
+	n := d.Len(4)
+	b := d.take(4 * n)
+	if b == nil || n == 0 {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }

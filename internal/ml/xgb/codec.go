@@ -4,19 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/ml"
+	"repro/internal/ml/tree"
 )
 
-// maxWireDepth bounds recursion when decoding node structures (real
-// boosting trees are MaxDepth-bounded, single digits).
-const maxWireDepth = 10_000
-
 // AppendWire serializes the fitted booster: the (defaulted)
-// configuration, per-output base scores, and every ensemble's trees in
-// boosting order. Prediction accumulates LearningRate-scaled leaf
-// weights in that order, so a decoded booster predicts bit-identically
-// to the original.
+// configuration, per-output base scores, and every output's node table
+// with its trees in boosting order. Prediction accumulates
+// LearningRate-scaled leaf weights in that order, so a decoded booster
+// predicts bit-identically to the original.
 func (x *Regressor) AppendWire(e *ml.WireEnc) error {
-	if x.ensembles == nil {
+	if x.tables == nil {
 		return fmt.Errorf("xgb: encode before Fit")
 	}
 	e.Int(x.cfg.NumRounds)
@@ -29,30 +26,14 @@ func (x *Regressor) AppendWire(e *ml.WireEnc) error {
 	e.F64(x.cfg.ColSample)
 	e.U64(x.cfg.Seed)
 	e.Floats(x.baseScore)
-	e.Int(len(x.ensembles))
-	for _, trees := range x.ensembles {
-		e.Int(len(trees))
-		for _, t := range trees {
-			appendBNode(e, t)
-		}
+	for _, tab := range x.tables {
+		tab.AppendWire(e)
 	}
 	return nil
 }
 
-func appendBNode(e *ml.WireEnc, n *bnode) {
-	if n.leaf {
-		e.U8(1)
-		e.F64(n.weight)
-		return
-	}
-	e.U8(0)
-	e.Int(n.feature)
-	e.F64(n.threshold)
-	appendBNode(e, n.left)
-	appendBNode(e, n.right)
-}
-
-// DecodeWire reconstructs a fitted booster written by AppendWire.
+// DecodeWire reconstructs a fitted booster written by AppendWire: one
+// single-output table per base score, all over the same features.
 func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 	x := &Regressor{}
 	x.cfg.NumRounds = d.Int()
@@ -65,54 +46,23 @@ func DecodeWire(d *ml.WireDec) (*Regressor, error) {
 	x.cfg.ColSample = d.F64()
 	x.cfg.Seed = d.U64()
 	x.baseScore = d.Floats()
-	nOut := d.Len(8)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("xgb: decode: %w", err)
 	}
-	if nOut == 0 || nOut != len(x.baseScore) {
-		return nil, fmt.Errorf("%w: booster with %d ensembles, %d base scores", ml.ErrWire, nOut, len(x.baseScore))
+	if len(x.baseScore) == 0 {
+		return nil, fmt.Errorf("%w: booster with no outputs", ml.ErrWire)
 	}
-	x.ensembles = make([][]*bnode, nOut)
-	for out := range x.ensembles {
-		n := d.Len(1)
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("xgb: decode ensemble %d: %w", out, err)
+	x.tables = make([]*tree.Table, len(x.baseScore))
+	for out := range x.tables {
+		tab, err := tree.DecodeTable(d)
+		if err != nil {
+			return nil, fmt.Errorf("xgb: output %d: %w", out, err)
 		}
-		trees := make([]*bnode, n)
-		for t := range trees {
-			trees[t] = decodeBNode(d, 0)
+		x.tables[out] = tab
+		if tab.NOut != 1 || tab.NFeatures != x.tables[0].NFeatures {
+			return nil, fmt.Errorf("%w: xgb output %d table has %d outputs over %d features",
+				ml.ErrWire, out, tab.NOut, tab.NFeatures)
 		}
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("xgb: decode ensemble %d: %w", out, err)
-		}
-		x.ensembles[out] = trees
 	}
-	// Warm-loaded boosters serve through the same flattened kernel as
-	// freshly fitted ones.
-	x.finalize()
 	return x, nil
-}
-
-func decodeBNode(d *ml.WireDec, depth int) *bnode {
-	if d.Err() != nil {
-		return nil
-	}
-	if depth > maxWireDepth {
-		d.Failf("boosting tree deeper than %d nodes", maxWireDepth)
-		return nil
-	}
-	switch tag := d.U8(); tag {
-	case 1:
-		return &bnode{leaf: true, weight: d.F64()}
-	case 0:
-		n := &bnode{feature: d.Int(), threshold: d.F64()}
-		n.left = decodeBNode(d, depth+1)
-		n.right = decodeBNode(d, depth+1)
-		return n
-	default:
-		if d.Err() == nil {
-			d.Failf("bad boosting node tag %d", tag)
-		}
-		return nil
-	}
 }

@@ -16,10 +16,10 @@ package xgb
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/ml"
+	"repro/internal/ml/tree"
 	"repro/internal/numeric"
 	"repro/internal/parallel"
 	"repro/internal/randx"
@@ -78,76 +78,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// bnode is a boosting tree node.
-type bnode struct {
-	feature   int
-	threshold float64
-	left      *bnode
-	right     *bnode
-	leaf      bool
-	weight    float64
-}
-
-// flatEnsemble is one output's flattened boosting ensemble: every
-// round's tree packed into a single struct-of-arrays node table,
-// traversed iteratively with no pointer chasing and no allocation.
-//
-// Encoding: feature[i] >= 0 marks an internal node with children
-// left[i]/right[i]; feature[i] == flatLeaf marks a leaf whose weight is
-// stored in threshold[i] (a leaf has no split threshold, so the slot is
-// free and the table stays four arrays wide). roots[r] indexes round
-// r's root node.
-type flatEnsemble struct {
-	roots     []int32
-	feature   []int32
-	threshold []float64
-	left      []int32
-	right     []int32
-}
-
-// flatLeaf is the feature sentinel marking a leaf row in the table.
-const flatLeaf = int32(-1)
-
-// appendFlat lowers one pointer tree into the table in preorder and
-// returns its root index.
-func (f *flatEnsemble) appendFlat(n *bnode) int32 {
-	i := int32(len(f.feature))
-	f.feature = append(f.feature, 0)
-	f.threshold = append(f.threshold, 0)
-	f.left = append(f.left, 0)
-	f.right = append(f.right, 0)
-	if n.leaf {
-		f.feature[i] = flatLeaf
-		f.threshold[i] = n.weight
-		return i
-	}
-	f.feature[i] = int32(n.feature)
-	f.threshold[i] = n.threshold
-	f.left[i] = f.appendFlat(n.left)
-	f.right[i] = f.appendFlat(n.right)
-	return i
-}
-
 // Regressor is a fitted gradient-boosting model.
 type Regressor struct {
 	cfg       Config
-	baseScore []float64      // per-output initial prediction
-	ensembles [][]*bnode     // [output][round]
-	flat      []flatEnsemble // serving kernel, built by finalize
-}
-
-// finalize builds the flattened serving kernel from the pointer
-// ensembles. Fit and DecodeWire both call it, so fresh and warm-loaded
-// boosters share one kernel.
-func (x *Regressor) finalize() {
-	x.flat = make([]flatEnsemble, len(x.ensembles))
-	for out, trees := range x.ensembles {
-		fe := &x.flat[out]
-		fe.roots = make([]int32, len(trees))
-		for r, t := range trees {
-			fe.roots[r] = fe.appendFlat(t)
-		}
-	}
+	baseScore []float64     // per-output initial prediction
+	tables    []*tree.Table // per output: every round's tree, one-value leaves
 }
 
 // New returns an unfitted booster.
@@ -164,7 +99,7 @@ func (x *Regressor) Name() string {
 // fitted model is bit-identical to a sequential fit regardless of
 // worker count. On error the regressor is reset to its unfitted state.
 func (x *Regressor) Fit(d *ml.Dataset) error {
-	x.baseScore, x.ensembles = nil, nil
+	x.baseScore, x.tables = nil, nil
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("xgb: %w", err)
 	}
@@ -175,7 +110,7 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 	// never on what the other workers consume.
 	outRNGs := rng.SplitN(nOut)
 	baseScore := make([]float64, nOut)
-	ensembles := make([][]*bnode, nOut)
+	tables := make([]*tree.Table, nOut)
 	//lint:allow ctxflow Fit is synchronous and bit-reproducible; a caller deadline would make training results depend on timing
 	err := parallel.ForEach(context.Background(), nOut, 0, func(_ context.Context, out int) error {
 		y := make([]float64, n)
@@ -192,7 +127,7 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 		grad := make([]float64, n)
 		hess := make([]float64, n)
 		outRNG := outRNGs[out]
-		trees := make([]*bnode, 0, x.cfg.NumRounds)
+		tab := &tree.Table{NOut: 1, NFeatures: d.NumFeatures()}
 		for round := 0; round < x.cfg.NumRounds; round++ {
 			for i := range grad {
 				grad[i] = pred[i] - y[i] // squared loss
@@ -200,21 +135,21 @@ func (x *Regressor) Fit(d *ml.Dataset) error {
 			}
 			rows := x.sampleRows(outRNG, n)
 			cols := x.sampleCols(outRNG, d.NumFeatures())
-			root := x.buildTree(d, rows, cols, grad, hess, 0)
-			trees = append(trees, root)
+			tab.AddTree()
+			root := x.buildTree(tab, d, rows, cols, grad, hess, 0)
 			for i := 0; i < n; i++ {
-				pred[i] += x.cfg.LearningRate * evalTree(root, d.X[i])
+				pred[i] += x.cfg.LearningRate * tab.Leaf(root, d.X[i])[0]
 			}
 		}
-		ensembles[out] = trees
+		tab.Trim()
+		tables[out] = tab
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	x.baseScore = baseScore
-	x.ensembles = ensembles
-	x.finalize()
+	x.tables = tables
 	return nil
 }
 
@@ -252,15 +187,16 @@ func (x *Regressor) sampleCols(rng *randx.RNG, nf int) []int {
 	return cols
 }
 
-// buildTree grows one regularized tree on the gradient statistics.
-func (x *Regressor) buildTree(d *ml.Dataset, rows, cols []int, grad, hess []float64, depth int) *bnode {
+// buildTree grows one regularized tree on the gradient statistics,
+// appending it to tab in preorder, and returns its root row.
+func (x *Regressor) buildTree(tab *tree.Table, d *ml.Dataset, rows, cols []int, grad, hess []float64, depth int) int32 {
 	var gSum, hSum float64
 	for _, i := range rows {
 		gSum += grad[i]
 		hSum += hess[i]
 	}
-	leaf := func() *bnode {
-		return &bnode{leaf: true, weight: -gSum / (hSum + x.cfg.Lambda)}
+	leaf := func() int32 {
+		return tab.AddLeaf([]float64{-gSum / (hSum + x.cfg.Lambda)})
 	}
 	if depth >= x.cfg.MaxDepth || len(rows) < 2 {
 		return leaf()
@@ -315,105 +251,54 @@ func (x *Regressor) buildTree(d *ml.Dataset, rows, cols []int, grad, hess []floa
 	if len(left) == 0 || len(right) == 0 {
 		return leaf()
 	}
-	return &bnode{
-		feature:   bestFeat,
-		threshold: bestThr,
-		left:      x.buildTree(d, left, cols, grad, hess, depth+1),
-		right:     x.buildTree(d, right, cols, grad, hess, depth+1),
-	}
+	i := tab.AddSplit(bestFeat, bestThr)
+	l := x.buildTree(tab, d, left, cols, grad, hess, depth+1)
+	r := x.buildTree(tab, d, right, cols, grad, hess, depth+1)
+	tab.Left[i], tab.Right[i] = l, r
+	return i
 }
 
-// evalTree walks one pointer tree to its leaf weight, routing NaN
-// features explicitly right (the ensemble-wide NaN contract; Dataset
-// validation keeps NaN out of training, so the branch only matters for
-// serving-time inputs).
-func evalTree(n *bnode, x []float64) float64 {
-	for !n.leaf {
-		xv := x[n.feature]
-		switch {
-		case math.IsNaN(xv):
-			n = n.right
-		case xv <= n.threshold:
-			n = n.left
-		default:
-			n = n.right
-		}
-	}
-	return n.weight
-}
-
-// Predict implements ml.Regressor via the flattened kernel.
+// Predict implements ml.Regressor.
 func (x *Regressor) Predict(in []float64) []float64 {
 	//lint:allow alloccheck row API allocates only the returned vector by contract; the batch path fills caller buffers via PredictBatchInto
-	out := make([]float64, len(x.flat))
+	out := make([]float64, len(x.tables))
 	x.PredictInto(in, out)
 	return out
 }
 
 // PredictInto writes the prediction for in into out (len NumOutputs)
-// without allocating. Leaf weights accumulate in boosting order with
-// the same shrinkage multiply as the pointer kernel, so the result is
-// bit-identical to PredictReference.
-//
-// NaN routing contract: a NaN feature fails the `<=` comparison and
-// follows the right branch, identical to the explicit math.IsNaN branch
-// in PredictReference.
+// without allocating: per output, the base score plus every round's
+// LearningRate-scaled leaf weight, accumulated in boosting order.
 func (x *Regressor) PredictInto(in, out []float64) {
-	if x.flat == nil {
+	if x.tables == nil {
 		panic("xgb: Predict before Fit")
 	}
 	eta := x.cfg.LearningRate
-	for j := range x.flat {
-		fe := &x.flat[j]
-		ft, th, lt, rt := fe.feature, fe.threshold, fe.left, fe.right
+	for j, tab := range x.tables {
 		p := x.baseScore[j]
-		for _, root := range fe.roots {
-			i := root
-			for ft[i] >= 0 {
-				if in[ft[i]] <= th[i] {
-					i = lt[i]
-				} else {
-					i = rt[i]
-				}
-			}
-			p += eta * th[i]
+		for _, root := range tab.Roots {
+			p += eta * tab.Leaf(root, in)[0]
 		}
 		out[j] = p
 	}
 }
 
 // NumOutputs implements ml.BatchIntoPredictor.
-func (x *Regressor) NumOutputs() int { return len(x.flat) }
+func (x *Regressor) NumOutputs() int { return len(x.tables) }
+
+// NumFeatures returns the input width the booster was fitted on.
+func (x *Regressor) NumFeatures() int { return x.tables[0].NFeatures }
 
 // PredictBatchInto implements ml.BatchIntoPredictor: rows fan out
 // across the shared worker pool (bounded by GOMAXPROCS) and each is
 // filled in place by the allocation-free kernel. Row results are
 // independent, so the output is bit-identical at any worker count.
 func (x *Regressor) PredictBatchInto(ctx context.Context, X, out [][]float64) {
-	if x.flat == nil {
+	if x.tables == nil {
 		panic("xgb: Predict before Fit")
 	}
 	_ = parallel.ForEach(ctx, len(X), 0, func(_ context.Context, i int) error {
 		x.PredictInto(X[i], out[i])
 		return nil
 	})
-}
-
-// PredictReference is the original pointer-chasing kernel, kept as the
-// independent reference implementation the equivalence suite compares
-// against the flattened kernel bit for bit. NaN features explicitly
-// route right at every split.
-func (x *Regressor) PredictReference(in []float64) []float64 {
-	if x.ensembles == nil {
-		panic("xgb: Predict before Fit")
-	}
-	out := make([]float64, len(x.ensembles))
-	for j, trees := range x.ensembles {
-		p := x.baseScore[j]
-		for _, t := range trees {
-			p += x.cfg.LearningRate * evalTree(t, in)
-		}
-		out[j] = p
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ml"
+	"repro/internal/ml/tree"
 	"repro/internal/randx"
 )
 
@@ -290,5 +291,57 @@ func BenchmarkFit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// PredictReference accumulates every round's leaf weight walking the
+// node tables with NaN routed right by an explicit math.IsNaN branch:
+// the reference the NaN-contract test compares Predict against.
+func (x *Regressor) PredictReference(in []float64) []float64 {
+	if x.tables == nil {
+		panic("xgb: Predict before Fit")
+	}
+	out := make([]float64, len(x.tables))
+	for j, tab := range x.tables {
+		p := x.baseScore[j]
+		for _, i := range tab.Roots {
+			for tab.Feature[i] != tree.Leaf {
+				xv := in[tab.Feature[i]]
+				switch {
+				case math.IsNaN(xv):
+					i = tab.Right[i]
+				case xv <= tab.Threshold[i]:
+					i = tab.Left[i]
+				default:
+					i = tab.Right[i]
+				}
+			}
+			p += x.cfg.LearningRate * tab.Values[tab.Left[i]]
+		}
+		out[j] = p
+	}
+	return out
+}
+
+// TestXGBNaNMatchesReference pins the NaN routing contract: with NaN
+// features sprinkled over the probes, Predict must agree bit for bit
+// with the explicit-IsNaN reference walker.
+func TestXGBNaNMatchesReference(t *testing.T) {
+	m := New(Config{NumRounds: 40, MaxDepth: 4, Seed: 3})
+	if err := m.Fit(synth(7, 300)); err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(8)
+	for q := 0; q < 200; q++ {
+		x := []float64{rng.Uniform(-2, 2), rng.Uniform(-2, 2)}
+		if q%3 == 0 {
+			x[q%2] = math.NaN()
+		}
+		got, want := m.Predict(x), m.PredictReference(x)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("probe %d out %d: Predict %v != reference %v", q, j, got[j], want[j])
+			}
+		}
 	}
 }

@@ -31,8 +31,10 @@ const (
 
 // FormatVersion is the current on-disk format revision. Bump it on any
 // incompatible envelope or payload change; old files are rejected with
-// ErrVersionSkew and treated as a miss (refit and overwrite).
-const FormatVersion uint16 = 1
+// ErrVersionSkew and treated as a miss (refit and overwrite). Version 2
+// stores tree models as their node tables (internal/ml/tree.Table);
+// version 1 stored recursive pointer trees.
+const FormatVersion uint16 = 2
 
 // Kind identifies the serialized model family.
 type Kind uint8

@@ -9,9 +9,9 @@ import "testing"
 // (a drift would send requests to replicas whose registries are cold).
 func TestDatasetKeyGolden(t *testing.T) {
 	cases := []struct {
-		useCase         int
-		system, target  string
-		want            string
+		useCase        int
+		system, target string
+		want           string
 	}{
 		{1, "intel", "", "uc1|sys=intel|dst="},
 		{2, "intel", "amd", "uc2|sys=intel|dst=amd"},
@@ -28,6 +28,8 @@ func TestDatasetKeyGolden(t *testing.T) {
 // TestKeySpecKeyGolden pins full content addresses for fixed specs, so
 // a rendering change in either DatasetKey or KeySpec.Key (which would
 // silently invalidate every model on disk) fails loudly here instead.
+// The addresses embed FormatVersion, so they change, deliberately, with
+// each format bump (these are the version-2 addresses).
 func TestKeySpecKeyGolden(t *testing.T) {
 	cases := []struct {
 		spec KeySpec
@@ -35,11 +37,11 @@ func TestKeySpecKeyGolden(t *testing.T) {
 	}{
 		{
 			KeySpec{UseCase: 1, System: "intel", Holdout: "npb/bt", Model: "knn{k=15,metric=cosine}", DatasetFP: 0x0123456789abcdef},
-			"10fd4655db9c28e6ea3e15a78e73e06f0ee6daa8e822e5fb15702c9c9eaed1f6",
+			"266b1735799a8e337c4d97ff9a16b1ab940686840be422ac4343734d230ac684",
 		},
 		{
 			KeySpec{UseCase: 2, System: "intel", Target: "amd", Model: "xgb{rounds=60,depth=3,eta=0.12,sub=0.9,col=0.8,seed=1}", DatasetFP: 0xfeedface},
-			"c96cae8282b929c539a783ed0295ffdcd1a16c0755627c6eab0e6f649d69a390",
+			"104cc2344b7f013f3a2d107b82c137ddc85ba376137c985e64a2b14c57291b8e",
 		},
 	}
 	for i, c := range cases {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/ml/forest"
 	"repro/internal/ml/knn"
+	"repro/internal/ml/tree"
 	"repro/internal/ml/xgb"
 	"repro/internal/randx"
 )
@@ -109,6 +110,59 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 }
 
+// withVersion returns a copy of data stamped with another format
+// version and resealed.
+func withVersion(data []byte, v uint16) []byte {
+	c := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(c[4:6], v)
+	return reseal(c)
+}
+
+// stumpTable is a valid one-feature, one-output node table: x <= 0.5 →
+// 1, otherwise 5.
+func stumpTable() *tree.Table {
+	return &tree.Table{
+		Feature:   []int32{0, tree.Leaf, tree.Leaf},
+		Threshold: []float64{0.5, 0, 0},
+		Left:      []int32{1, 0, 1},
+		Right:     []int32{2, 0, 0},
+		Values:    []float64{1, 5},
+		Roots:     []int32{0},
+		NOut:      1,
+		NFeatures: 1,
+	}
+}
+
+// sealed wraps a hand-written payload in a current-version envelope.
+func sealed(kind Kind, payload []byte) []byte {
+	buf := []byte(magic)
+	buf = binary.LittleEndian.AppendUint16(buf, FormatVersion)
+	buf = append(buf, byte(kind), 0)
+	buf = binary.LittleEndian.AppendUint64(buf, 1)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// forestFile wraps tb as the only tree of a forest of tb.NOut outputs in
+// a sealed model file, writing the forest and tree codec layouts by
+// hand so the table reaches the decoder exactly as given.
+func forestFile(tb *tree.Table) []byte {
+	e := &ml.WireEnc{}
+	for _, v := range []int{1, 0, 1, 1} { // NumTrees, MaxDepth, MinSamplesLeaf, MaxFeatures
+		e.Int(v)
+	}
+	e.U64(1) // Seed
+	e.Int(tb.NOut)
+	e.Int(1)                                    // trees
+	for _, v := range []int{0, 1, 2, 1, 1, 2} { // tree config, depth, leaves
+		e.Int(v)
+	}
+	e.Floats(make([]float64, tb.NFeatures)) // importances
+	tb.AppendWire(e)
+	return sealed(KindForest, e.Bytes())
+}
+
 func encodeOne(t *testing.T) []byte {
 	t.Helper()
 	d := testDataset(7)
@@ -146,6 +200,30 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			binary.LittleEndian.PutUint16(c[4:6], FormatVersion+1)
 			return reseal(c)
 		}, ErrVersionSkew},
+		{"version skew (v1 file)", func(b []byte) []byte { return withVersion(b, FormatVersion-1) }, ErrVersionSkew},
+		{"forest tree splits on feature 5 of 1", func([]byte) []byte {
+			tb := stumpTable()
+			tb.Feature[0] = 5
+			return forestFile(tb)
+		}, ErrCorrupt},
+		{"forest tree leaves hold [1] and [2 3]", func([]byte) []byte {
+			tb := stumpTable()
+			tb.NOut, tb.Values, tb.Left[2] = 2, []float64{1, 2, 3}, 1
+			return forestFile(tb)
+		}, ErrCorrupt},
+		{"knn scaler for another feature width", func([]byte) []byte {
+			e := &ml.WireEnc{}
+			e.Int(1)                // K
+			e.U8(uint8(knn.Cosine)) // metric
+			e.U8(uint8(knn.Uniform))
+			e.Bool(true) // standardize
+			e.Bool(true) // scaler present
+			e.Floats([]float64{0, 0})
+			e.Floats([]float64{1, 1})
+			e.FloatRows([][]float64{{1, 2, 3}})
+			e.FloatRows([][]float64{{4}})
+			return sealed(KindKNN, e.Bytes())
+		}, ErrCorrupt},
 		{"unknown kind", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[6] = 0xEE
@@ -158,6 +236,11 @@ func TestDecodeRejectsDamage(t *testing.T) {
 			}
 			return reseal(c)
 		}, ErrCorrupt},
+	}
+	// The hand-written forest layout must be sound, so the table cases
+	// fail on the table alone.
+	if _, _, err := Decode(forestFile(stumpTable())); err != nil {
+		t.Fatalf("valid one-stump forest: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -307,48 +390,73 @@ func TestStoreLoadRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-// referencePredictor is the pointer-walking fallback every storable
-// family keeps alongside its flattened serving kernel.
-type referencePredictor interface {
-	PredictReference(x []float64) []float64
-}
-
 // TestLoadedFlatMatchesPointerReference pins the warm-load contract for
-// the flattened kernels: a model decoded from the store serves with its
-// struct-of-arrays kernel, and that kernel must agree bit for bit with
-// the original pointer-based reference walker — per family, per seed.
+// kNN, the one family that keeps a non-test reference kernel: a model
+// decoded from the store serves with its flattened kernel, and that
+// kernel must agree bit for bit with the original's reference walker,
+// per seed. The tree families serve and store one node table; their
+// warm loads are pinned by TestLoadedPredictsBitIdentical and the
+// prediction digests in internal/ml.
 func TestLoadedFlatMatchesPointerReference(t *testing.T) {
-	for _, kind := range allKinds {
-		for _, seed := range []uint64{1, 2, 3} {
-			d := testDataset(seed)
-			reg := fitKind(t, kind, d, seed)
-			data, err := Encode(reg, FingerprintDataset(d))
-			if err != nil {
-				t.Fatalf("%v seed %d: encode: %v", kind, seed, err)
+	for _, seed := range []uint64{1, 2, 3} {
+		d := testDataset(seed)
+		reg := fitKind(t, KindKNN, d, seed).(*knn.Regressor)
+		data, err := Encode(reg, FingerprintDataset(d))
+		if err != nil {
+			t.Fatalf("seed %d: encode: %v", seed, err)
+		}
+		loaded, _, err := Decode(data)
+		if err != nil {
+			t.Fatalf("seed %d: decode: %v", seed, err)
+		}
+		probe := randx.New(seed ^ 0xF1A7)
+		for q := 0; q < 25; q++ {
+			x := make([]float64, len(d.X[0]))
+			for j := range x {
+				x[j] = probe.Uniform(-2.5, 2.5)
 			}
-			loaded, _, err := Decode(data)
-			if err != nil {
-				t.Fatalf("%v seed %d: decode: %v", kind, seed, err)
-			}
-			ref, ok := reg.(referencePredictor)
-			if !ok {
-				t.Fatalf("%v: fitted model has no reference kernel", kind)
-			}
-			probe := randx.New(seed ^ 0xF1A7)
-			for q := 0; q < 25; q++ {
-				x := make([]float64, len(d.X[0]))
-				for j := range x {
-					x[j] = probe.Uniform(-2.5, 2.5)
-				}
-				want := ref.PredictReference(x)
-				got := loaded.Predict(x)
-				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("%v seed %d probe %d out %d: warm flat %v != pointer reference %v",
-							kind, seed, q, j, got[j], want[j])
-					}
+			want := reg.PredictReference(x)
+			got := loaded.Predict(x)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("seed %d probe %d out %d: warm flat %v != reference %v",
+						seed, q, j, got[j], want[j])
 				}
 			}
 		}
+	}
+}
+
+// TestOpenSweepsOrphanTempFiles pins the crash-recovery half of the
+// atomic-write contract: a temp file left by a crash between write and
+// rename is removed when the store is next opened, and nothing else is.
+func TestOpenSweepsOrphanTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := testDataset(4)
+	fp := FingerprintDataset(d)
+	key := KeySpec{UseCase: 1, System: "intel", Model: "knn-sweep", DatasetFP: fp}.Key()
+	if err := st.Save(key, fitKind(t, KindKNN, d, 4), fp); err != nil {
+		t.Fatal(err)
+	}
+	orphan := filepath.Join(dir, ".pvm-tmp-123456")
+	if err := os.WriteFile(orphan, []byte("half a model"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("orphan survived Open: %v", err)
+	}
+	if _, err := st.Load(key, fp); err != nil {
+		t.Fatalf("valid model after sweep: %v", err)
+	}
+	if keys, err := st.Keys(); err != nil || len(keys) != 1 || keys[0] != key {
+		t.Fatalf("keys after sweep = %v, %v", keys, err)
 	}
 }

@@ -181,30 +181,51 @@ func TestRegistryLRUDeterministic(t *testing.T) {
 }
 
 func TestRegistryCorruptFileFallsThroughToFit(t *testing.T) {
-	r := newTestRegistry(t, 4)
 	d := testDataset(5)
 	fp := FingerprintDataset(d)
-	key := KeySpec{UseCase: 1, System: "intel", Model: "knn-corrupt", DatasetFP: fp}.Key()
-	// Plant a damaged file under the key.
-	path := filepath.Join(r.Store().Dir(), key+fileExt)
-	if err := os.WriteFile(path, []byte("PVMSgarbage-that-is-long-enough-to-parse"), 0o644); err != nil {
+	fitted, err := fitCounter(t, d, new(atomic.Int64))()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var calls atomic.Int64
-	_, src, err := r.GetOrFit(key, fp, fitCounter(t, d, &calls))
-	if err != nil || src != SourceFit {
-		t.Fatalf("corrupt file resolve: src=%v err=%v", src, err)
+	current, err := Encode(fitted, fp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := r.Stats(); s.LoadErrors != 1 {
-		t.Fatalf("stats %+v", s)
+	planted := []struct {
+		name string
+		data []byte
+	}{
+		{"garbage", []byte("PVMSgarbage-that-is-long-enough-to-parse")},
+		// A sound file of the previous format revision: rejected as
+		// version skew, refitted and overwritten like any damage.
+		{"v1 file", withVersion(current, FormatVersion-1)},
 	}
-	// The refit overwrote the damage: a cold registry now disk-hits.
-	r2 := NewRegistry(r.Store(), 4)
-	if _, src, err := r2.GetOrFit(key, fp, fitCounter(t, d, &calls)); err != nil || src != SourceDisk {
-		t.Fatalf("reload after overwrite: src=%v err=%v", src, err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fit ran %d times, want 1", got)
+	for _, p := range planted {
+		t.Run(p.name, func(t *testing.T) {
+			r := newTestRegistry(t, 4)
+			key := KeySpec{UseCase: 1, System: "intel", Model: "knn-corrupt", DatasetFP: fp}.Key()
+			// Plant the damaged file under the key.
+			path := filepath.Join(r.Store().Dir(), key+fileExt)
+			if err := os.WriteFile(path, p.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var calls atomic.Int64
+			_, src, err := r.GetOrFit(key, fp, fitCounter(t, d, &calls))
+			if err != nil || src != SourceFit {
+				t.Fatalf("corrupt file resolve: src=%v err=%v", src, err)
+			}
+			if s := r.Stats(); s.LoadErrors != 1 {
+				t.Fatalf("stats %+v", s)
+			}
+			// The refit overwrote the damage: a cold registry now disk-hits.
+			r2 := NewRegistry(r.Store(), 4)
+			if _, src, err := r2.GetOrFit(key, fp, fitCounter(t, d, &calls)); err != nil || src != SourceDisk {
+				t.Fatalf("reload after overwrite: src=%v err=%v", src, err)
+			}
+			if got := calls.Load(); got != 1 {
+				t.Fatalf("fit ran %d times, want 1", got)
+			}
+		})
 	}
 }
 

@@ -15,6 +15,9 @@ import (
 // fileExt suffixes every model file ("performance-variability model").
 const fileExt = ".pvm"
 
+// tmpPattern names the temp files writeFileAtomic renames into place.
+const tmpPattern = ".pvm-tmp-*"
+
 // Store is a directory of content-addressed model files. Writes are
 // atomic (temp file + rename in the same directory), so concurrent
 // processes sharing a store directory — the fleet scale-out case —
@@ -24,13 +27,26 @@ type Store struct {
 	dir string
 }
 
-// Open creates the directory if needed and returns the store.
+// Open creates the directory if needed, removes temp files orphaned by
+// a crash between an earlier write and its rename, and returns the
+// store. A process sharing the directory that is mid-write when another
+// opens it loses that write to the sweep; its rename fails, Save
+// reports the error, and the model is refitted on a later miss.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("modelstore: empty store directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("modelstore: open: %w", err)
+	}
+	orphans, err := filepath.Glob(filepath.Join(dir, tmpPattern))
+	if err != nil {
+		return nil, fmt.Errorf("modelstore: open: %w", err)
+	}
+	for _, tmp := range orphans {
+		if err := os.Remove(tmp); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("modelstore: open: sweep: %w", err)
+		}
 	}
 	return &Store{dir: dir}, nil
 }
@@ -123,32 +139,48 @@ func (s *Store) Keys() ([]string, error) {
 }
 
 // writeFileAtomic writes data via a temp file in the destination's
-// directory followed by a rename, so a reader never observes a partial
-// file and a crash leaves either the old version or the new one. This
-// helper is the repo's one sanctioned call site for os.Rename/os.Remove
-// (the pathpolicy analyzer flags them anywhere outside this package).
+// directory, fsyncs it, renames it over path and fsyncs the directory,
+// so a reader never observes a partial file and a crash leaves either
+// the old version or the new one (plus, at worst, an orphaned temp file
+// that Open sweeps). This helper is the repo's one sanctioned call site
+// for os.Rename/os.Remove (the pathpolicy analyzer flags them anywhere
+// outside this package).
 func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".pvm-tmp-*")
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
+	return syncDir(dir)
+}
+
+// syncDir makes a rename inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
 		return err
 	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		_ = os.Remove(tmp)
-		return err
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return nil
+	return err
 }
